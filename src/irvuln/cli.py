@@ -7,10 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import grad_checks
 from .corpus import load_corpus, prepare_corpus, save_corpus
@@ -139,9 +136,9 @@ def _cmd_train(args) -> int:
     if args.loss_log:
         with open(args.loss_log, "w", encoding="utf-8") as fh:
             for epoch, loss in enumerate(hist1):
-                fh.write(f"stage1,{epoch},{loss!r}\n")
+                fh.write(f"stage1,{epoch},{float(loss)!r}\n")
             for epoch, loss in enumerate(hist2):
-                fh.write(f"stage2,{epoch},{loss!r}\n")
+                fh.write(f"stage2,{epoch},{float(loss)!r}\n")
     print(f"stage-1 final loss {hist1[-1]:.6f}, "
           f"stage-2 final loss {hist2[-1]:.6f}")
     return 0

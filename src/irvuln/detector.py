@@ -10,7 +10,7 @@ updates only its own two matrices.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class ModelConfig:
             raise DataError("ModelConfig.decision_threshold must be in (0,1)")
         if not (0.0 < self.test_fraction < 1.0):
             raise DataError("ModelConfig.test_fraction must be in (0,1)")
-
-
-def _maybe_bias(rng, dim, enabled):
-    return np.zeros(dim) if enabled else None
 
 
 @dataclass(eq=False)
@@ -512,8 +508,8 @@ def save_model(stage1: Stage1Model, stage2: Stage2Model, vocab: Vocabulary,
                path) -> None:
     """Single binary container holding config, vocabulary and all tensors,
     terminated by an FNV-1a digest of the preceding bytes."""
-    if stage1.vocab_digest != vocab.digest() or \
-            stage2.vocab_digest != vocab.digest():
+    digest = vocab.digest()
+    if stage1.vocab_digest != digest or stage2.vocab_digest != digest:
         raise DataError("vocabulary digest mismatch at save time")
     chunks = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
               _config_bytes(stage1.config)]
@@ -532,11 +528,11 @@ def save_model(stage1: Stage1Model, stage2: Stage2Model, vocab: Vocabulary,
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise DataError("corrupted model file: truncated")
         out = self.data[self.pos:self.pos + n]
@@ -547,7 +543,11 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return str(self.take(self.u32()), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError("corrupted model file: string is not UTF-8") \
+                from exc
 
 
 def load_model(path):
@@ -556,7 +556,7 @@ def load_model(path):
         data = fh.read()
     if len(data) < len(MODEL_MAGIC) + 12:
         raise DataError("corrupted model file: truncated")
-    body, (digest,) = data[:-8], struct.unpack("<Q", data[-8:])
+    body, (digest,) = memoryview(data)[:-8], struct.unpack("<Q", data[-8:])
     if fnv1a64(body) != digest:
         raise DataError("corrupted model file: digest mismatch")
     r = _Reader(body)
@@ -573,7 +573,10 @@ def load_model(path):
         ndim = struct.unpack("<B", r.take(1))[0]
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"corrupted model file: non-finite values in "
+                            f"tensor {name}")
         tensors[name] = arr
     if r.pos != len(body):
         raise DataError("corrupted model file: trailing bytes")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -93,6 +94,8 @@ class TestPipeline:
         rows = log.read_text().strip().split("\n")
         assert sum(r.startswith("stage1,") for r in rows) == 2
         assert sum(r.startswith("stage2,") for r in rows) == 2
+        for row in rows:
+            assert math.isfinite(float(row.split(",")[2])), row
 
 
 class TestExitCodes:

@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from irvuln.corpus import Corpus, Program
+import irvuln.detector
+import irvuln.vocab
+from irvuln.cli import run
+from irvuln.corpus import Corpus, Program, save_corpus
 from irvuln.detector import (ModelConfig, Stage1Model, Stage2Model,
                              encode_line, init_stage1, init_stage2,
                              load_model, predict, save_model, stage1_forward,
@@ -9,7 +14,7 @@ from irvuln.detector import (ModelConfig, Stage1Model, Stage2Model,
 from irvuln.errors import DataError
 from irvuln.nncore import lstm_step, relu, softmax
 from irvuln.synth import SynthConfig, generate_corpus
-from irvuln.vocab import (BowVector, Vocabulary, build_vocabulary,
+from irvuln.vocab import (BowVector, Vocabulary, build_vocabulary, fnv1a64,
                           vectorize_program)
 
 
@@ -283,6 +288,23 @@ def models():
     return vocab, s1, s2
 
 
+def _reseal(path, body: bytes) -> None:
+    """Write ``body`` with a valid trailing digest."""
+    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+
+
+# case -> (bytes in the saved body, bytes that replace them), given stage 2
+_RESEALED_CORRUPTIONS = {
+    "token-not-utf8": lambda s2: (struct.pack("<I", 5) + b"label",
+                                  struct.pack("<I", 5) + b"\xffabel"),
+    "tensor-name-not-utf8": lambda s2: (b"s2/W5", b"s2/W\xff"),
+    "nan-weight": lambda s2: (struct.pack("<d", s2.W5.flat[0]),
+                              struct.pack("<d", np.nan)),
+    "inf-weight": lambda s2: (struct.pack("<d", s2.W5.flat[0]),
+                              struct.pack("<d", -np.inf)),
+}
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, models, tmp_path):
         vocab, s1, s2 = models
@@ -324,18 +346,51 @@ class TestSerialization:
             load_model(path)
 
     def test_unsupported_version_rejected(self, models, tmp_path):
-        import struct
-
-        from irvuln.vocab import fnv1a64
         vocab, s1, s2 = models
         path = tmp_path / "m.bin"
         save_model(s1, s2, vocab, path)
         raw = bytearray(path.read_bytes())[:-8]
         raw[8:12] = struct.pack("<I", 99)
-        body = bytes(raw)
-        path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+        _reseal(path, bytes(raw))
         with pytest.raises(DataError, match="version 99"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(_RESEALED_CORRUPTIONS))
+    def test_resealed_corruption_is_data_error(self, models, tmp_path, case):
+        vocab, s1, s2 = models
+        path = tmp_path / "m.bin"
+        save_model(s1, s2, vocab, path)
+        old, new = _RESEALED_CORRUPTIONS[case](s2)
+        body = path.read_bytes()[:-8]
+        assert body.count(old) == 1
+        _reseal(path, body.replace(old, new))
+        with pytest.raises(DataError, match="corrupted"):
+            load_model(path)
+        corpus = tmp_path / "c.jsonl"
+        save_corpus(Corpus([Program("p", ["store i32 %1"], 0, ())]), corpus)
+        assert run(["predict", "--model", str(path), "--in", str(corpus),
+                    "--out", str(tmp_path / "pred.jsonl")]) == 2
+
+    def test_one_digest_per_vocabulary(self, models, tmp_path, monkeypatch):
+        vocab, s1, s2 = models
+        path = tmp_path / "m.bin"
+        save_model(s1, s2, vocab, path)
+        calls = []
+
+        def counting_fnv1a64(data):
+            calls.append(len(data))
+            return fnv1a64(data)
+
+        monkeypatch.setattr(irvuln.vocab, "fnv1a64", counting_fnv1a64)
+        monkeypatch.setattr(irvuln.detector, "fnv1a64", counting_fnv1a64)
+        r1, r2, rvocab = load_model(path)
+        # the model body, then the vocabulary
+        assert calls == [path.stat().st_size - 8, len(rvocab.file_bytes())]
+        calls.clear()
+        for k in range(1, 6):
+            lines = ["store i32 %1", "br label"] * k
+            predict(r1, r2, rvocab, Program(f"p{k}", lines, 0, ()))
+        assert calls == []
 
     def test_inference_identical_after_roundtrip(self, models, tmp_path):
         vocab, s1, s2 = models

@@ -1,14 +1,30 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irvuln.corpus import Corpus, Program
+from irvuln.detector import load_model
 from irvuln.errors import DataError
 from irvuln.synth import SynthConfig, generate_corpus
-from irvuln.vocab import (BowVector, Vocabulary, build_vocabulary, fnv1a64,
-                          load_vocabulary, save_vocabulary, tokenize,
-                          vectorize_line, vectorize_program)
+from irvuln.vocab import (_HASH_BLOCK, BowVector, Vocabulary,
+                          build_vocabulary, fnv1a64, load_vocabulary,
+                          save_vocabulary, tokenize, vectorize_line,
+                          vectorize_program)
+
+DESK_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "model" \
+    / "desk_v1.bin"
+
+
+def fnv1a64_loop(data: bytes) -> int:
+    """Reference FNV-1a: the byte loop of the Fowler-Noll-Vo spec."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 class TestTokenize:
@@ -100,10 +116,40 @@ class TestVectorize:
         assert list(vec.dense()) == [1.0, 0.0, 1.0]
 
 
+class TestFnv1a:
+    @given(st.binary(max_size=300))
+    def test_matches_loop_on_short_inputs(self, data):
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 3 * _HASH_BLOCK + 100), st.integers(0, 2**32 - 1))
+    def test_matches_loop_up_to_three_blocks(self, length, seed):
+        data = np.random.default_rng(seed).bytes(length)
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, _HASH_BLOCK - 1,
+                                        _HASH_BLOCK, _HASH_BLOCK + 1,
+                                        2 * _HASH_BLOCK + 3])
+    @pytest.mark.parametrize("fill", [None, 0x00, 0xFF])
+    def test_matches_loop_at_block_edges(self, length, fill):
+        if fill is None:
+            data = np.random.default_rng(length).bytes(length)
+        else:
+            data = bytes([fill]) * length
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    def test_committed_format_v1_model(self):
+        raw = DESK_MODEL.read_bytes()
+        assert fnv1a64(raw[:-8]) == struct.unpack("<Q", raw[-8:])[0]
+        _, _, vocab = load_model(DESK_MODEL)
+        assert vocab.size > 0
+
+
 class TestSerialization:
     def test_fnv1a_known_vectors(self):
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
     def test_file_roundtrip(self, tmp_path):
         vocab = Vocabulary(["store", "i32", "%1"])
