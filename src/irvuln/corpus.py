@@ -77,12 +77,14 @@ def load_corpus(path) -> Corpus:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     programs = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
-                rec = json.loads(raw)
+                rec = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not valid UTF-8") from exc
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(rec, dict):
@@ -105,6 +107,10 @@ def load_corpus(path) -> Corpus:
                                for t in rec["vulnerable_lines"])):
                 raise DataError(
                     f"{path}:{lineno}: vulnerable_lines must be an array of integers")
+            try:
+                "".join([rec["id"], *rec["lines"]]).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DataError(f"{path}:{lineno}: lone surrogate") from exc
             try:
                 programs.append(Program(rec["id"], rec["lines"], rec["label"],
                                         tuple(rec["vulnerable_lines"])))

@@ -16,9 +16,9 @@ import numpy as np
 
 from .corpus import Corpus, Program
 from .errors import DataError, NumericError
-from .nncore import (BlstmOutput, LstmParams, init_uniform,
-                     lstm_sequence_backward, lstm_sequence_forward, relu,
-                     sgd_step, softmax, softmax_cross_entropy)
+from .nncore import (BlstmOutput, LstmParams, blstm_backward, blstm_forward,
+                     init_uniform, relu, sgd_step, softmax,
+                     softmax_cross_entropy)
 from .vocab import BowVector, Vocabulary, fnv1a64, vectorize_program
 
 MODEL_MAGIC = b"IRVULN01"
@@ -92,15 +92,20 @@ class Stage1Model:
     def vocab_size(self) -> int:
         return self.W0.shape[1]
 
+    def lstm_cells(self) -> list:
+        """(tensor-name prefix, LstmParams) per cell, in layer order with the
+        forward cell first: the order blstm_backward returns gradients in."""
+        return [(f"s1/blstm{k}/{side}", cell)
+                for k, pair in enumerate(self.layers)
+                for side, cell in zip(("fwd", "bwd"), pair)]
+
     def param_dict(self) -> dict:
         d = {"s1/W0": self.W0, "s1/W1": self.W1,
              "s1/W2": self.W2, "s1/W3": self.W3}
-        for k, (fwd, bwd) in enumerate(self.layers):
-            d[f"s1/blstm{k}/fwd/W"] = fwd.weight
-            d[f"s1/blstm{k}/bwd/W"] = bwd.weight
-            if fwd.use_bias:
-                d[f"s1/blstm{k}/fwd/b"] = fwd.bias
-                d[f"s1/blstm{k}/bwd/b"] = bwd.bias
+        for prefix, cell in self.lstm_cells():
+            d[f"{prefix}/W"] = cell.weight
+            if cell.use_bias:
+                d[f"{prefix}/b"] = cell.bias
         if self.b0 is not None:
             d.update({"s1/b0": self.b0, "s1/b1": self.b1,
                       "s1/b2": self.b2, "s1/b3": self.b3})
@@ -172,69 +177,50 @@ def init_stage2(config: ModelConfig, vocab_size: int, vocab_digest: str,
     return model
 
 
-def encode_line(model: Stage1Model, x: BowVector) -> np.ndarray:
-    """ReLU(W1 @ ReLU(W0 @ x)); W0 @ x is the sum of W0 columns at on-bits."""
-    if x.dimension != model.vocab_size:
-        raise DataError(f"bag-of-words dimension {x.dimension} does not match "
-                        f"model vocabulary size {model.vocab_size}")
-    z0 = model.W0[:, x.on_indices].sum(axis=1)
+def _encode_program(model: Stage1Model, bows):
+    """Rows A0 = ReLU(W0 x + b0) and Henc = ReLU(W1 A0 + b1) per line x;
+    W0 x is the sum of W0's columns at the on-bits."""
+    a0 = np.empty((len(bows), model.W0.shape[0]))
+    for t, bow in enumerate(bows):
+        if bow.dimension != model.vocab_size:
+            raise DataError(f"bag-of-words dimension {bow.dimension} does not "
+                            f"match model vocabulary size {model.vocab_size}")
+        a0[t] = model.W0[:, bow.on_indices].sum(axis=1)
     if model.b0 is not None:
-        z0 = z0 + model.b0
-    z1 = model.W1 @ relu(z0)
+        a0 += model.b0
+    np.maximum(a0, 0.0, out=a0)
+    henc = a0 @ model.W1.T
     if model.b1 is not None:
-        z1 = z1 + model.b1
-    return relu(z1)
+        henc += model.b1
+    np.maximum(henc, 0.0, out=henc)
+    return a0, henc
+
+
+def encode_line(model: Stage1Model, x: BowVector) -> np.ndarray:
+    """ReLU(W1 @ ReLU(W0 @ x)) for one line."""
+    return _encode_program(model, [x])[1][0]
 
 
 class _Stage1Cache:
-    __slots__ = ("bows", "Z0", "A0", "Z1", "Henc", "layer_caches",
-                 "layer_inputs", "latent", "zc", "ac", "blstm")
+    __slots__ = ("bows", "A0", "Henc", "blstm", "lstm", "latent", "ac")
 
 
 def _stage1_forward_cached(model: Stage1Model, bows):
     if not bows:
         raise DataError("empty program")
-    if bows[0].dimension != model.vocab_size:
-        raise DataError("bag-of-words dimension does not match model vocabulary")
     cache = _Stage1Cache()
     cache.bows = bows
-    length = len(bows)
-    k = model.W0.shape[0]
-    z0 = np.empty((length, k))
-    w0 = model.W0
-    for t, bow in enumerate(bows):
-        z0[t] = w0[:, bow.on_indices].sum(axis=1)
-    if model.b0 is not None:
-        z0 += model.b0
-    a0 = relu(z0)
-    z1 = a0 @ model.W1.T
-    if model.b1 is not None:
-        z1 += model.b1
-    henc = relu(z1)
-    cache.Z0, cache.A0, cache.Z1, cache.Henc = z0, a0, z1, henc
-
-    cache.layer_caches = []
-    cache.layer_inputs = []
-    inp = henc
-    hf = hb = None
-    for fwd, bwd in model.layers:
-        cache.layer_inputs.append(inp)
-        hf, cf = lstm_sequence_forward(fwd, inp)
-        hb_rev, cb = lstm_sequence_forward(bwd, inp[::-1])
-        hb = hb_rev[::-1]
-        cache.layer_caches.append((cf, cb))
-        inp = np.concatenate([hf, hb], axis=1)
-    cache.blstm = BlstmOutput(hf, hb.copy())
-
-    latent = np.concatenate([hf[-1], hb[0]])
-    zc = model.W2 @ latent
+    cache.A0, cache.Henc = _encode_program(model, bows)
+    cache.blstm, cache.lstm = blstm_forward(model.layers, cache.Henc)
+    cache.latent = np.concatenate([cache.blstm.forward_states[-1],
+                                   cache.blstm.backward_states[0]])
+    zc = model.W2 @ cache.latent
     if model.b2 is not None:
-        zc = zc + model.b2
-    ac = relu(zc)
-    logits = model.W3 @ ac
+        zc += model.b2
+    cache.ac = relu(zc)
+    logits = model.W3 @ cache.ac
     if model.b3 is not None:
-        logits = logits + model.b3
-    cache.latent, cache.zc, cache.ac = latent, zc, ac
+        logits += model.b3
     return logits, cache
 
 
@@ -242,9 +228,11 @@ def stage1_forward(model: Stage1Model, program_vectors):
     """Full whole-code forward pass.
 
     Returns (logits, BlstmOutput); the BLSTM states are reused as stage-2
-    context.
+    context. Raises NumericError when a logit is not finite.
     """
     logits, cache = _stage1_forward_cached(model, list(program_vectors))
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite stage-1 logits")
     return logits, cache.blstm
 
 
@@ -254,42 +242,25 @@ def _stage1_backward(model: Stage1Model, cache: _Stage1Cache,
     grads = {}
     grads["s1/W3"] = np.outer(dlogits, cache.ac)
     dac = model.W3.T @ dlogits
-    dzc = dac * (cache.zc > 0)
+    dzc = dac * (cache.ac > 0)
     grads["s1/W2"] = np.outer(dzc, cache.latent)
     dlatent = model.W2.T @ dzc
     if model.b3 is not None:
         grads["s1/b3"] = dlogits.copy()
         grads["s1/b2"] = dzc.copy()
 
-    length = cache.Henc.shape[0]
-    dhf = np.zeros((length, m))
-    dhb = np.zeros((length, m))
-    dhf[-1] = dlatent[:m]
-    dhb[0] = dlatent[m:]
-    dinp = None
-    for layer_idx in range(len(model.layers) - 1, -1, -1):
-        fwd, bwd = model.layers[layer_idx]
-        cf, cb = cache.layer_caches[layer_idx]
-        if dinp is not None:
-            dhf += dinp[:, :m]
-            dhb += dinp[:, m:]
-        dwf, dbf, dxf = lstm_sequence_backward(fwd, cf, dhf)
-        dwb, dbb, dxb_rev = lstm_sequence_backward(bwd, cb, dhb[::-1])
-        grads[f"s1/blstm{layer_idx}/fwd/W"] = dwf
-        grads[f"s1/blstm{layer_idx}/bwd/W"] = dwb
-        if fwd.use_bias:
-            grads[f"s1/blstm{layer_idx}/fwd/b"] = dbf
-            grads[f"s1/blstm{layer_idx}/bwd/b"] = dbb
-        dinp = dxf + dxb_rev[::-1]
-        if layer_idx > 0:
-            dhf = np.zeros_like(dhf)
-            dhb = np.zeros_like(dhb)
+    d_states = np.zeros((len(cache.bows), 2 * m))
+    d_states[-1, :m] = dlatent[:m]
+    d_states[0, m:] = dlatent[m:]
+    cell_grads, dhenc = blstm_backward(model.layers, cache.lstm, d_states)
+    for (prefix, cell), (dw, db) in zip(model.lstm_cells(), cell_grads):
+        grads[f"{prefix}/W"] = dw
+        if cell.use_bias:
+            grads[f"{prefix}/b"] = db
 
-    dhenc = dinp
-    dz1 = dhenc * (cache.Z1 > 0)
+    dz1 = dhenc * (cache.Henc > 0)
     grads["s1/W1"] = dz1.T @ cache.A0
-    da0 = dz1 @ model.W1
-    dz0 = da0 * (cache.Z0 > 0)
+    dz0 = (dz1 @ model.W1) * (cache.A0 > 0)
     dw0 = np.zeros_like(model.W0)
     for t, bow in enumerate(cache.bows):
         dw0[:, bow.on_indices] += dz0[t][:, None]
@@ -459,12 +430,12 @@ def predict(stage1: Stage1Model, stage2: Stage2Model, vocab: Vocabulary,
     code_prob = float(softmax(logits)[1])
     threshold = stage1.config.decision_threshold
     code_vulnerable = code_prob >= threshold
-    line_probs = []
-    line_flags = []
-    for t, x_t in enumerate(bows):
-        lp = float(softmax(stage2_forward(stage2, blstm, t, x_t))[1])
-        line_probs.append(lp)
-        line_flags.append(bool(code_vulnerable and lp >= threshold))
+    line_logits = np.array([stage2_forward(stage2, blstm, t, x_t)
+                            for t, x_t in enumerate(bows)])
+    if not np.isfinite(line_logits).all():
+        raise NumericError(f"non-finite stage-2 logits in {program.id!r}")
+    line_probs = [float(softmax(z)[1]) for z in line_logits]
+    line_flags = [bool(code_vulnerable and p >= threshold) for p in line_probs]
     return Prediction(program.id, bool(code_vulnerable), code_prob,
                       line_flags, line_probs)
 
@@ -476,18 +447,17 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
+_CONFIG_STRUCT = struct.Struct("<7I d 2I Q d 2B d")
+
+
 def _config_bytes(config: ModelConfig) -> bytes:
-    return struct.pack(
-        "<7I d 2I Q d 2B d",
+    return _CONFIG_STRUCT.pack(
         config.embed_dim, config.hidden_dim, config.blstm_layers,
         config.classifier_width, config.line_classifier_width,
         config.stage1_epochs, config.stage2_epochs,
         config.learning_rate, 0, 0,  # two reserved words
         config.seed & 0xFFFFFFFFFFFFFFFF, config.decision_threshold,
         int(config.dense_bias), int(config.lstm_bias), config.test_fraction)
-
-
-_CONFIG_STRUCT = struct.Struct("<7I d 2I Q d 2B d")
 
 
 def _config_from_bytes(raw: bytes) -> ModelConfig:

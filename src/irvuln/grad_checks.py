@@ -27,11 +27,10 @@ def _random_bows(rng, n_lines: int, vocab_size: int):
     return bows
 
 
-def stage1_error(seed: int, layers: int = 1, dense_bias: bool = False,
-                 num_coords: int = 250) -> float:
+def stage1_error(seed: int, num_coords: int = 250, **config) -> float:
+    """Check stage 1 on a small model; `config` overrides ModelConfig fields."""
     rng = np.random.default_rng(seed)
-    config = ModelConfig(blstm_layers=layers, dense_bias=dense_bias,
-                         seed=seed, **_SMALL)
+    config = ModelConfig(seed=seed, **_SMALL, **config)
     model = init_stage1(config, _VOCAB_SIZE, "0" * 16, rng)
     bows = _random_bows(rng, int(rng.integers(3, 9)), _VOCAB_SIZE)
     label = int(rng.integers(2))
@@ -77,8 +76,9 @@ def run_all(seed: int = 0) -> dict:
     """Gradient checks over both stages, with and without extras."""
     return {
         "stage1": stage1_error(seed),
-        "stage1_two_layers": stage1_error(seed + 1, layers=2),
+        "stage1_two_layers": stage1_error(seed + 1, blstm_layers=2),
         "stage1_dense_bias": stage1_error(seed + 2, dense_bias=True),
+        "stage1_no_lstm_bias": stage1_error(seed + 5, lstm_bias=False),
         "stage2": stage2_error(seed + 3),
         "stage2_dense_bias": stage2_error(seed + 4, dense_bias=True),
     }

@@ -3,6 +3,14 @@
 Everything is double precision. The LSTM cell uses logistic sigmoid gates
 and ReLU for the candidate and cell-output nonlinearities; the ReLU
 subgradient at 0 is 0.
+
+The recurrence runs in one kernel, `lstm_sequence_forward`/`_backward`,
+stacked into bidirectional layers by `blstm_forward`/`blstm_backward`;
+`lstm_step` is its one-step definition, kept as the tests' oracle. The
+kernel caches only the post-activation gates, the states C and H and the
+input xs. The rest follows: the candidate pre-activation is positive where
+g > 0, and the previous cell state and the recurrent input are C and H
+shifted down one step (zero at t = 0), so dW = [dZ^T xs | dZ[1:]^T H[:-1]].
 """
 from __future__ import annotations
 
@@ -23,15 +31,6 @@ def sigmoid(x: Array) -> Array:
     """Numerically stable logistic function (no overflow for large |x|)."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def dense_forward(weight: Array, x: Array) -> Array:
-    """weight @ x with an explicit dimension check (no bias)."""
-    weight = np.asarray(weight, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if weight.ndim != 2 or x.shape[0] != weight.shape[1]:
-        raise ValueError(f"dimension mismatch: weight {weight.shape}, x {x.shape}")
-    return weight @ x
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> Array:
@@ -80,22 +79,14 @@ def lstm_step(params: LstmParams, x: Array, h_prev: Array, c_prev: Array):
     return h, c
 
 
+@dataclass(eq=False)
 class LstmCache:
-    """Per-sequence forward intermediates needed by backpropagation."""
+    """One sequence's forward intermediates for backpropagation."""
 
-    __slots__ = ("U", "I", "F", "O", "G", "Zg", "C", "CPrev", "H")
-
-    def __init__(self, length, input_dim, hidden_dim):
-        m = hidden_dim
-        self.U = np.empty((length, input_dim + m))
-        self.I = np.empty((length, m))
-        self.F = np.empty((length, m))
-        self.O = np.empty((length, m))
-        self.G = np.empty((length, m))
-        self.Zg = np.empty((length, m))
-        self.C = np.empty((length, m))
-        self.CPrev = np.empty((length, m))
-        self.H = np.empty((length, m))
+    gates: Array  # (L, 4M) post-activation gates [i; f; o; g]
+    C: Array      # (L, M) cell states
+    H: Array      # (L, M) hidden states
+    xs: Array     # (L, D) inputs
 
 
 def lstm_sequence_forward(params: LstmParams, xs: Array):
@@ -106,67 +97,71 @@ def lstm_sequence_forward(params: LstmParams, xs: Array):
     length = xs.shape[0]
     m = params.hidden_dim
     d = params.input_dim
-    cache = LstmCache(length, d, m)
+    # input-to-gate projections for the whole sequence in one product; the
+    # loop adds the recurrent term and applies the nonlinearities in place
+    gates = xs @ params.weight[:, :d].T
+    if params.use_bias:
+        gates += params.bias
+    wh = params.weight[:, d:]
+    C = np.empty((length, m))
+    H = np.empty((length, m))
     h = np.zeros(m)
     c = np.zeros(m)
-    # input-to-gate projections for the whole sequence in one product;
-    # the loop only adds the recurrent term
-    zx = xs @ params.weight[:, :d].T
-    if params.use_bias:
-        zx += params.bias
-    wh = params.weight[:, d:]
-    cache.U[:, :d] = xs
     for t in range(length):
-        cache.U[t, d:] = h
-        z = zx[t] + wh @ h
-        gates = sigmoid(z[:3 * m])
-        i, f, o = gates[:m], gates[m:2 * m], gates[2 * m:]
-        zg = z[3 * m:]
-        g = relu(zg)
-        cache.I[t] = i
-        cache.F[t] = f
-        cache.O[t] = o
-        cache.G[t] = g
-        cache.Zg[t] = zg
-        cache.CPrev[t] = c
-        c = f * c + i * g
-        h = o * relu(c)
-        cache.C[t] = c
-        cache.H[t] = h
-    return cache.H, cache
+        z = gates[t]
+        z += wh @ h
+        s = z[:3 * m]  # i, f, o: sigmoid(z) = 0.5 * (1 + tanh(z / 2))
+        s *= 0.5
+        np.tanh(s, out=s)
+        s *= 0.5
+        s += 0.5
+        g = np.maximum(z[3 * m:], 0.0, out=z[3 * m:])
+        c = np.multiply(z[m:2 * m], c, out=C[t])
+        c += z[:m] * g
+        h = np.maximum(c, 0.0, out=H[t])
+        h *= z[2 * m:3 * m]
+    return H, LstmCache(gates, C, H, xs)
 
 
 def lstm_sequence_backward(params: LstmParams, cache: LstmCache, dH: Array):
     """Backprop through time.
 
     dH[t] is the upstream gradient on the hidden state at step t. Returns
-    (dweight, dbias, dX) with dX[t] the gradient on input xs[t].
+    (dweight, dbias, dX) with dX[t] the gradient on input xs[t]; dbias is
+    None for a cell without bias.
     """
     m = params.hidden_dim
     d = params.input_dim
     length = dH.shape[0]
-    # per-step gate-preactivation gradients; weight/bias/input gradients
-    # fall out of single products over the whole sequence afterwards
+    i, f, o, g = cache.gates.reshape(length, 4, m).transpose(1, 0, 2)
+    C, H = cache.C, cache.H
+    c_prev = np.concatenate([np.zeros((1, m)), C[:-1]])
+    # dZ[t] = [dc * k_i, dc * k_f, dh * k_o, dc * k_g] with dh the total
+    # gradient on h_t and dc = dc_carry + dh * k_c the one on c_t
+    coef = np.empty((length, 4, m))
+    coef[:, 0] = g * i * (1.0 - i)
+    coef[:, 1] = c_prev * f * (1.0 - f)
+    coef[:, 2] = H * (1.0 - o)  # relu(c) * o * (1 - o)
+    coef[:, 3] = i * (g > 0)
+    k_c = o * (C > 0)
     dZ = np.empty((length, 4 * m))
+    dZ4 = dZ.reshape(length, 4, m)
     whT = params.weight[:, d:].T
     dh_carry = np.zeros(m)
     dc_carry = np.zeros(m)
     for t in range(length - 1, -1, -1):
-        i, f, o, g = cache.I[t], cache.F[t], cache.O[t], cache.G[t]
-        c = cache.C[t]
-        rc = relu(c)
         dh = dH[t] + dh_carry
-        do = dh * rc
-        dc = dc_carry + dh * o * (c > 0)
-        dz = dZ[t]
-        dz[:m] = dc * g * i * (1.0 - i)
-        dz[m:2 * m] = dc * cache.CPrev[t] * f * (1.0 - f)
-        dz[2 * m:3 * m] = do * o * (1.0 - o)
-        dz[3 * m:] = dc * i * (cache.Zg[t] > 0)
-        dh_carry = whT @ dz
-        dc_carry = dc * f
-    dw = dZ.T @ cache.U
-    db = dZ.sum(axis=0) if params.use_bias else np.zeros_like(params.bias)
+        dc = dh * k_c[t]
+        dc += dc_carry
+        np.multiply(coef[t], dc, out=dZ4[t])
+        np.multiply(coef[t, 2], dh, out=dZ4[t, 2])
+        dh_carry = whT @ dZ[t]
+        dc_carry = dc * f[t]
+    # weight, bias and input gradients are single products over the sequence
+    dw = np.empty_like(params.weight)
+    np.matmul(dZ.T, cache.xs, out=dw[:, :d])
+    np.matmul(dZ[1:].T, H[:-1], out=dw[:, d:])
+    db = dZ.sum(axis=0) if params.use_bias else None
     dX = dZ @ params.weight[:, :d]
     return dw, db, dX
 
@@ -183,14 +178,40 @@ class BlstmOutput:
     backward_states: Array  # (L, M)
 
 
-def blstm_forward(fwd: LstmParams, bwd: LstmParams, inputs: Array) -> BlstmOutput:
-    """Bidirectional pass over inputs (L, D) from zero initial states."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
+def blstm_forward(layers, inputs: Array):
+    """Stacked bidirectional pass over inputs (L, D) from zero initial states.
+
+    layers lists (forward, backward) LstmParams pairs; a layer after the
+    first reads [h_fwd ; h_bwd] of the one before. Returns the last layer's
+    BlstmOutput and the per-layer LstmCache pairs that blstm_backward takes.
+    """
+    xs = np.asarray(inputs, dtype=float)
+    if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("blstm_forward requires a non-empty (L, D) input")
-    hf, _ = lstm_sequence_forward(fwd, inputs)
-    hb_rev, _ = lstm_sequence_forward(bwd, inputs[::-1])
-    return BlstmOutput(hf, hb_rev[::-1].copy())
+    caches = []
+    for fwd, bwd in layers:
+        hf, cf = lstm_sequence_forward(fwd, xs)
+        hb, cb = lstm_sequence_forward(bwd, xs[::-1])
+        caches.append((cf, cb))
+        xs = np.concatenate([hf, hb[::-1]], axis=1)
+    return BlstmOutput(hf, hb[::-1]), caches
+
+
+def blstm_backward(layers, caches, d_states: Array):
+    """Backprop of blstm_forward, given the gradient (L, 2M) on the last
+    layer's [h_fwd ; h_bwd] by position.
+
+    Returns (grads, dinputs): grads lists (dweight, dbias) per cell in layer
+    order, forward cell first; dinputs is the gradient on the inputs.
+    """
+    grads = []
+    for (fwd, bwd), (cf, cb) in zip(reversed(layers), reversed(caches)):
+        d_forward, d_backward = np.hsplit(d_states, 2)
+        dwf, dbf, dxf = lstm_sequence_backward(fwd, cf, d_forward)
+        dwb, dbb, dxb = lstm_sequence_backward(bwd, cb, d_backward[::-1])
+        grads[:0] = [(dwf, dbf), (dwb, dbb)]
+        d_states = dxf + dxb[::-1]
+    return grads, d_states
 
 
 def softmax(logits: Array) -> Array:

@@ -185,10 +185,12 @@ def load_vocabulary(path) -> Vocabulary:
     path = Path(path)
     if not path.exists():
         raise DataError(f"vocabulary file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    tokens = text.split("\n")
-    if tokens and tokens[-1] == "":
-        tokens.pop()
+    tokens = []
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            tokens.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: not valid UTF-8") from exc
     if not tokens:
         raise DataError(f"{path}: vocabulary file is empty")
     return Vocabulary(tokens)

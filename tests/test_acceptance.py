@@ -175,8 +175,8 @@ class TestCriterion8RecurrentProperties:
 
             # reversal: the backward scan equals a forward scan (same
             # parameters) over the reversed sequence, output reversed
-            out = blstm_forward(fwd, bwd, xs)
-            flipped = blstm_forward(bwd, fwd, xs[::-1])
+            out, _ = blstm_forward([(fwd, bwd)], xs)
+            flipped, _ = blstm_forward([(bwd, fwd)], xs[::-1])
             assert np.allclose(out.backward_states,
                                flipped.forward_states[::-1]), trial
 

@@ -126,3 +126,67 @@ class TestExitCodes:
 
     def test_help_exits_cleanly(self):
         assert invoke("--help") == 0
+
+
+GOOD_RECORD = b'{"id": "p", "lines": ["store i32 %1"], "label": 0, ' \
+    b'"vulnerable_lines": []}\n'
+
+
+class TestBadText:
+    """Input text that is not valid Unicode is a data error naming the line."""
+
+    @pytest.mark.parametrize("command", ["prepare", "build-vocab", "evaluate"])
+    def test_corpus_not_utf8_is_2(self, tmp_path, capsys, command):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(GOOD_RECORD + GOOD_RECORD.replace(b"%1", b"%\xff"))
+        out = ["--out-csv"] if command == "evaluate" else ["--out"]
+        assert invoke(command, "--in", str(corpus), *out,
+                      str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:2: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_vocab_not_utf8_is_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(GOOD_RECORD)
+        vocab = tmp_path / "v.txt"
+        vocab.write_bytes(b"store\ni32\n%\xff1\n")
+        assert invoke("train", "--in", str(corpus), "--vocab", str(vocab),
+                      "--out-model", str(tmp_path / "m.bin")) == 2
+        assert f"{vocab}:3: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate"])
+    def test_corpus_lone_surrogate_is_2(self, tmp_path, capsys, command):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(GOOD_RECORD.replace(b"store", b"store \\ud800"))
+        out = {"build-vocab": ["--out", str(tmp_path / "v.txt")],
+               "train": ["--vocab", str(tmp_path / "v.txt"),
+                         "--out-model", str(tmp_path / "m.bin")],
+               "evaluate": ["--out-csv", str(tmp_path / "r.csv")]}[command]
+        assert invoke(command, "--in", str(corpus), *out) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:1: lone surrogate" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--in", "{dir}", "--out", "{tmp}/o.jsonl"],
+    ["build-vocab", "--in", "{dir}", "--out", "{tmp}/v.txt"],
+    ["train", "--in", "{dir}", "--vocab", "{vocab}", "--out-model",
+     "{tmp}/m.bin"],
+    ["evaluate", "--in", "{dir}", "--out-csv", "{tmp}/r.csv"],
+    ["predict", "--model", "{model}", "--in", "{dir}", "--out",
+     "{tmp}/p.jsonl"],
+    ["predict", "--model", "{dir}", "--in", "{prepared}", "--out",
+     "{tmp}/p.jsonl"],
+], ids=["prepare", "build-vocab", "train", "evaluate", "predict-in",
+        "predict-model"])
+def test_directory_as_file_is_2(pipeline, tmp_path, capsys, argv):
+    _, _, prepared, vocab, model = pipeline
+    names = dict(dir=tmp_path / "d", tmp=tmp_path, vocab=vocab, model=model,
+                 prepared=prepared)
+    names["dir"].mkdir()
+    assert invoke(*[a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

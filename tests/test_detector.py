@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from irvuln.detector import (ModelConfig, Stage1Model, Stage2Model,
                              encode_line, init_stage1, init_stage2,
                              load_model, predict, save_model, stage1_forward,
                              stage2_forward, train_stage1, train_stage2)
-from irvuln.errors import DataError
+from irvuln.errors import DataError, NumericError
 from irvuln.nncore import lstm_step, relu, softmax
 from irvuln.synth import SynthConfig, generate_corpus
 from irvuln.vocab import (BowVector, Vocabulary, build_vocabulary, fnv1a64,
                           vectorize_program)
+
+
+DESK_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "model" \
+    / "desk_v1.bin"
 
 
 def small_config(**overrides):
@@ -403,3 +408,52 @@ class TestSerialization:
         b = predict(r1, r2, rvocab, program)
         assert a.code_probability == b.code_probability
         assert a.line_probabilities == b.line_probabilities
+
+
+class TestNonFiniteLogits:
+    """Overflowing forward passes are a NumericError, never NaN output."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self):
+        # the committed model with every tensor scaled x300 overflows on
+        # long programs; unchecked, predict reports NaN as a "clean" verdict
+        s1, s2, vocab = load_model(DESK_MODEL)
+        for p in (*s1.param_dict().values(), *s2.param_dict().values()):
+            p *= 300.0
+        rng = np.random.default_rng(0)
+        programs = [Program(f"p{k}", [" ".join(rng.choice(vocab.tokens, 4))
+                                      for _ in range(250)], 0, ())
+                    for k in range(3)]
+        return s1, s2, vocab, programs
+
+    def test_predict_raises(self, overflowing):
+        s1, s2, vocab, programs = overflowing
+        with np.errstate(all="ignore"):
+            for program in programs:
+                with pytest.raises(NumericError, match="non-finite"):
+                    predict(s1, s2, vocab, program)
+
+    def test_cli_predict_exits_3_without_nan(self, overflowing, tmp_path):
+        s1, s2, vocab, programs = overflowing
+        model = tmp_path / "m.bin"
+        corpus = tmp_path / "c.jsonl"
+        out = tmp_path / "pred.jsonl"
+        save_model(s1, s2, vocab, model)
+        save_corpus(Corpus(programs), corpus)
+        with np.errstate(all="ignore"):
+            assert run(["predict", "--model", str(model), "--in", str(corpus),
+                        "--out", str(out)]) == 3
+        assert "NaN" not in out.read_text()
+
+    def test_stage2_overflow_raises(self):
+        s1, s2 = small_models(vocab_size=9)
+        vocab = Vocabulary([f"t{k}" for k in range(9)])
+        s1.vocab_digest = s2.vocab_digest = vocab.digest()
+        s2.W4[...] = 1e300
+        s2.W5[...] = 1e300
+        program = Program("p", ["t0 t1", "t2"], 0, ())
+        with np.errstate(all="ignore"):
+            logits, _ = stage1_forward(s1, vectorize_program(vocab, program))
+            assert np.isfinite(logits).all()
+            with pytest.raises(NumericError, match="stage-2"):
+                predict(s1, s2, vocab, program)

@@ -1,35 +1,31 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irvuln.nncore import (LstmParams, blstm_forward, dense_forward,
-                           gradient_check, lstm_step, relu, sgd_step,
+from irvuln.nncore import (LstmParams, blstm_forward, gradient_check,
+                           lstm_sequence_forward, lstm_step, relu, sgd_step,
                            softmax_cross_entropy)
 
 
-def random_lstm(rng, input_dim, hidden_dim, scale=0.5):
+def random_lstm(rng, input_dim, hidden_dim, scale=0.5, use_bias=True):
     w = rng.uniform(-scale, scale, size=(4 * hidden_dim,
                                          input_dim + hidden_dim))
     b = rng.uniform(-scale, scale, size=4 * hidden_dim)
-    return LstmParams(w, b, hidden_dim)
+    return LstmParams(w, b, hidden_dim, use_bias)
 
 
-class TestDense:
-    def test_matrix_vector(self):
-        out = dense_forward(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                            np.array([1.0, 1.0]))
-        assert list(out) == [3.0, 7.0]
-
-    def test_zero_input(self):
-        w = np.arange(6.0).reshape(2, 3)
-        assert not dense_forward(w, np.zeros(3)).any()
-
-    def test_identity(self):
-        x = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(dense_forward(np.eye(3), x), x)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dense_forward(np.eye(3), np.zeros(2))
+def step_oracle(params, xs):
+    """Hidden states of a chain of lstm_step calls from zero state."""
+    h = np.zeros(params.hidden_dim)
+    c = np.zeros(params.hidden_dim)
+    out = []
+    for x in xs:
+        h, c = lstm_step(params, x, h, c)
+        out.append(h)
+    return np.array(out)
 
 
 class TestRelu:
@@ -82,11 +78,32 @@ class TestLstmStep:
         assert c[0] == pytest.approx(c_ref, rel=1e-12)
 
 
+class TestLstmSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(1, 40), input_dim=st.integers(1, 9),
+           hidden_dim=st.integers(1, 9), use_bias=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_step_oracle(self, length, input_dim, hidden_dim,
+                                 use_bias, seed):
+        rng = np.random.default_rng(seed)
+        params = random_lstm(rng, input_dim, hidden_dim, use_bias=use_bias)
+        xs = rng.standard_normal((length, input_dim))
+        H, cache = lstm_sequence_forward(params, xs)
+        np.testing.assert_allclose(H, step_oracle(params, xs),
+                                   rtol=1e-12, atol=1e-12)
+        assert [f.name for f in fields(cache)] == ["gates", "C", "H", "xs"]
+
+
+def blstm(fwd, bwd, xs):
+    out, _ = blstm_forward([(fwd, bwd)], xs)
+    return out
+
+
 class TestBlstm:
     def test_length_one_shared_params(self):
         rng = np.random.default_rng(0)
         params = random_lstm(rng, 3, 2)
-        out = blstm_forward(params, params, rng.standard_normal((1, 3)))
+        out = blstm(params, params, rng.standard_normal((1, 3)))
         assert np.array_equal(out.forward_states, out.backward_states)
 
     def test_reversal_property(self):
@@ -94,8 +111,8 @@ class TestBlstm:
         fwd = random_lstm(rng, 3, 4)
         bwd = random_lstm(rng, 3, 4)
         xs = rng.standard_normal((6, 3))
-        out = blstm_forward(fwd, bwd, xs)
-        flipped = blstm_forward(bwd, fwd, xs[::-1])
+        out = blstm(fwd, bwd, xs)
+        flipped = blstm(bwd, fwd, xs[::-1])
         assert np.allclose(out.backward_states, flipped.forward_states[::-1])
 
     def test_matches_step_by_step_oracle(self):
@@ -103,7 +120,7 @@ class TestBlstm:
         fwd = random_lstm(rng, 2, 3)
         bwd = random_lstm(rng, 2, 3)
         xs = rng.standard_normal((4, 2))
-        out = blstm_forward(fwd, bwd, xs)
+        out = blstm(fwd, bwd, xs)
         h = np.zeros(3)
         c = np.zeros(3)
         for t in range(4):
@@ -115,11 +132,28 @@ class TestBlstm:
             h, c = lstm_step(bwd, xs[t], h, c)
             assert np.allclose(out.backward_states[t], h)
 
+    def test_two_layers_250_steps_match_step_oracle(self):
+        rng = np.random.default_rng(6)
+        layers = [(random_lstm(rng, 5, 4, 0.3), random_lstm(rng, 5, 4, 0.3)),
+                  (random_lstm(rng, 8, 4, 0.3), random_lstm(rng, 8, 4, 0.3))]
+        xs = rng.standard_normal((250, 5))
+        out, caches = blstm_forward(layers, xs)
+        assert len(caches) == 2
+        seq = xs
+        for fwd, bwd in layers:
+            hf = step_oracle(fwd, seq)
+            hb = step_oracle(bwd, seq[::-1])[::-1]
+            seq = np.concatenate([hf, hb], axis=1)
+        np.testing.assert_allclose(out.forward_states, hf,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.backward_states, hb,
+                                   rtol=1e-12, atol=1e-12)
+
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(3)
         params = random_lstm(rng, 2, 2)
         with pytest.raises(ValueError):
-            blstm_forward(params, params, np.zeros((0, 2)))
+            blstm(params, params, np.zeros((0, 2)))
 
 
 class TestSoftmaxCrossEntropy:
